@@ -6,6 +6,13 @@ back.  Handler threads block on micro-batch futures, so the thread pool
 is where concurrent requests wait while the single batch worker drains
 the queue -- exactly the shape dynamic batching wants.
 
+Every response -- status line, headers and body -- leaves in a single
+socket write on a ``TCP_NODELAY`` connection.  Writing the headers and
+the body separately lets Nagle's algorithm hold the body until the
+client ACKs the headers, and a keep-alive client delays that ACK by
+~40 ms.  The stdlib's own error replies (400 request line, 414, 431, 501,
+505) take the same single-write JSON path via :meth:`send_error`.
+
 The server owns graceful shutdown ordering: ``shutdown()`` first stops
 accepting connections, then drains every batcher queue
 (``service.close()``), so in-flight requests complete instead of dying
@@ -36,12 +43,21 @@ _TRACE_ID_RE = re.compile(r"^[0-9A-Za-z_-]{1,64}$")
 _TRUTHY = ("1", "true", "yes", "on")
 
 
+def _reject_constant(literal: str):
+    """``json.loads`` hook: ``NaN``/``Infinity``/``-Infinity`` are not
+    RFC 8259 JSON, so a body carrying them is a 400, not a value."""
+    raise ValueError(f"{literal} is not valid JSON")
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Route GET/POST requests into the service dispatch table."""
 
     #: Quiet by default; the CLI flips this on with ``--verbose``.
     log_requests = False
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted connection, so a response larger
+    #: than one segment never has its tail held back waiting for an ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -72,13 +88,33 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if close:
                 # announces it to the client and sets self.close_connection
                 self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
+            # end_headers() would flush the head on its own; one write
+            # carries head, blank line and body (HTTP/0.9 has no head)
+            chunks = getattr(self, "_headers_buffer", [])
+            self._headers_buffer = []
+            if self.request_version != "HTTP/0.9":
+                chunks.append(b"\r\n")
+            if self.command != "HEAD":
+                chunks.append(payload)
+            self.wfile.write(b"".join(chunks))
         except (BrokenPipeError, ConnectionResetError):
             # the client hung up mid-response (the 499/expired-deadline
             # path makes this routine); nothing to answer, just make
             # sure the desynced socket is not reused for keep-alive
             self.close_connection = True
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """The stdlib's error replies (400 request line, 414, 431, 501,
+        505) as a JSON ``{"error": ...}`` body in one write, closing."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        if self.command is None:
+            # the request line never parsed, so no version was read;
+            # answer with a status line anyway, as the 414 path does
+            self.request_version = ""
+        self.log_error("code %d, message %s", code, message)
+        self._respond(code, {"error": message}, close=True)
 
     def _refuse(self, status: int, body: dict) -> None:
         """Answer an early error *before* the body was consumed.
@@ -218,8 +254,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         with trace.span("parse"):
             raw = self.rfile.read(length) if length else b""
             try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                payload = json.loads(
+                    raw.decode("utf-8"), parse_constant=_reject_constant,
+                ) if raw else {}
+            except ValueError as exc:  # bad UTF-8, bad JSON, NaN/Infinity
                 payload, error = None, f"invalid JSON body: {exc}"
             if error is None and not isinstance(payload, dict):
                 payload, error = None, "request body must be a JSON object"

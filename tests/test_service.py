@@ -8,7 +8,10 @@ on, and the trained-context warm boot from the artifact store.
 
 from __future__ import annotations
 
+import http.client
 import json
+import queue
+import socket
 import threading
 import time
 import urllib.error
@@ -37,6 +40,7 @@ from repro.service import (
     ServiceConfig,
     build_server,
 )
+from repro.service.http import ServiceRequestHandler
 from repro.units import default_kb
 
 
@@ -347,6 +351,17 @@ class TestEndpoints:
         assert status == 400
         assert "invalid JSON" in body["error"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literal_is_400(self, kb_service, literal):
+        """NaN/Infinity are not RFC 8259 JSON; echoing them back would
+        make the 200 body unparseable by strict clients."""
+        _, client = kb_service
+        data = f'{{"value": {literal}, "source": "m", "target": "cm"}}'
+        status, body = client.raw_post("/convert", data.encode("utf-8"))
+        assert status == 400
+        assert body["error"] == (
+            f"invalid JSON body: {literal} is not valid JSON")
+
     def test_unknown_route_is_404(self, kb_service):
         _, client = kb_service
         status, body = client.request("/nope", {})
@@ -488,6 +503,144 @@ class TestEndpoints:
         assert served == len(texts)
         # the whole point: fewer batch calls than requests
         assert batches < len(texts)
+
+
+# -- transport: one write per response ---------------------------------------
+
+
+class _CountingHandler(ServiceRequestHandler):
+    """Reports each request's ``wfile`` writes (one ``sendall`` each)
+    and the accepted socket's ``TCP_NODELAY`` flag through queues."""
+
+    writes: queue.Queue
+    nodelay: queue.Queue
+
+    def setup(self) -> None:
+        super().setup()
+        # bind this connection to the queues of the test that opened it
+        self.writes, self.nodelay = self.writes, self.nodelay
+        self.nodelay.put(self.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        write = self.wfile.write
+
+        def counting_write(data):
+            self._writes += 1
+            return write(data)
+
+        self.wfile.write = counting_write
+
+    def handle_one_request(self) -> None:
+        self._writes = 0
+        super().handle_one_request()
+        if self._writes:
+            self.writes.put(self._writes)
+
+
+def _post(path: str, body: bytes) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+class TestTransport:
+    @pytest.fixture(scope="class")
+    def server(self):
+        service = DimensionService(ServiceConfig(port=0))
+        server = build_server(service)
+        server.RequestHandlerClass = _CountingHandler
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+    @pytest.fixture
+    def port(self, server):
+        _CountingHandler.writes = queue.Queue()
+        _CountingHandler.nodelay = queue.Queue()
+        return server.server_address[1]
+
+    @staticmethod
+    def exchange(sock: socket.socket, request: bytes, method: str = "GET"):
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock, method=method)
+        response.begin()
+        return response, response.read()
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (_post("/convert", b'{"value": 2, "source": "m", "target": "cm"}'),
+         200),
+        (b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n", 200),
+        (_post("/ground", b"{not json"), 400),
+        (b"GET /ground HTTP/1.1\r\nHost: t\r\n\r\n", 405),
+        (b"PUT /convert HTTP/1.1\r\nHost: t\r\n\r\n", 501),
+        # one byte past the stdlib's 65536-byte request-line cap, and
+        # nothing after it, so the server closes with nothing unread
+        (b"GET /" + b"a" * 65532, 414),
+        (b"GARBAGE\r\n\r\n", 400),
+    ], ids=["convert-200", "metrics-200", "json-400", "refuse-405",
+            "put-501", "uri-414", "request-line-400"])
+    def test_every_response_is_one_write(self, port, request_bytes, status):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            response, body = self.exchange(sock, request_bytes)
+        assert response.status == status
+        assert _CountingHandler.writes.get(timeout=5) == 1
+        assert int(response.headers["Content-Length"]) == len(body)
+        if status != 200:
+            assert response.headers["Content-Type"].startswith(
+                "application/json")
+            assert isinstance(json.loads(body)["error"], str)
+
+    def test_accepted_connection_has_nodelay(self, port):
+        assert ServiceRequestHandler.disable_nagle_algorithm is True
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            self.exchange(sock, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert _CountingHandler.nodelay.get(timeout=5) != 0
+
+    def test_keep_alive_framing_survives_single_writes(self, port):
+        """Back-to-back requests on one socket: each answer is framed by
+        its Content-Length and the connection stays open between them."""
+        convert = _post("/convert",
+                        b'{"value": 1, "source": "km", "target": "m"}')
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            for _ in range(3):
+                response, body = self.exchange(sock, convert)
+                assert response.status == 200
+                assert json.loads(body)["magnitude"] == pytest.approx(1000.0)
+                assert response.headers.get("Connection") is None
+        assert [_CountingHandler.writes.get(timeout=5)
+                for _ in range(3)] == [1, 1, 1]
+        assert _CountingHandler.nodelay.qsize() == 1
+
+    def test_stdlib_errors_are_json_and_close(self, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            response, body = self.exchange(
+                sock, b"DELETE /ground HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert sock.recv(1) == b""  # the server closed its end
+        assert response.status == 501
+        assert response.headers["Connection"] == "close"
+        assert json.loads(body) == {"error": "Unsupported method ('DELETE')"}
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            response, body = self.exchange(sock, b"GET /" + b"a" * 65532)
+        assert response.status == 414
+        assert json.loads(body) == {"error": "Request-URI Too Long"}
+
+    def test_http09_answer_is_the_body_alone(self, port):
+        """An HTTP/0.9 request line gets no status line or headers."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            raw = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert json.loads(raw)["status"] == "ok"
+        assert _CountingHandler.writes.get(timeout=5) == 1
+
+    def test_head_error_has_no_body(self, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            response, body = self.exchange(
+                sock, b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                method="HEAD")
+            assert sock.recv(1) == b""  # nothing followed the head
+        assert response.status == 501
+        assert body == b""
+        assert int(response.headers["Content-Length"]) > 0
 
 
 # -- shared-cache thread safety ----------------------------------------------
