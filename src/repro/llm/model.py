@@ -8,7 +8,9 @@ negative log-likelihood of the target sequence given the input context,
 with loss masked to target positions.
 
 Gradients are derived by hand; ``tests/test_llm_model.py`` checks them
-against finite differences.
+against finite differences, and checks the kernels (GELU, LayerNorm,
+softmax) byte for byte against their textbook formulas, which it keeps
+as references.
 
 Two forward paths share the parameters:
 
@@ -55,24 +57,32 @@ class TransformerConfig:
             raise ValueError("all transformer dimensions must be positive")
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+#: GELU's tanh-approximation constant, sqrt(2/pi).
+_GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
-    u = c * (x + 0.044715 * x ** 3)
-    t = np.tanh(u)
-    du = c * (1.0 + 3.0 * 0.044715 * x ** 2)
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh approximation) and its tanh term, which
+    :func:`_gelu_grad` reuses instead of recomputing ``x ** 3``."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d GELU / dx at ``x``, given ``t`` from :func:`_gelu_forward`."""
+    du = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
 
 
 def _layernorm_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # The same add.reduce / true_divide / square sequence np.mean and
+    # np.var run (so bit-identical to them), centring only once.
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
+    xhat = x - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + _EPS)
-    xhat = (x - mu) * inv_std
+    xhat *= inv_std
     return gain * xhat + bias, (xhat, inv_std, gain)
 
 
@@ -81,16 +91,25 @@ def _layernorm_backward(dy, cache):
     dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     dbias = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * gain
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    n = dy.shape[-1]
+    mean_dxhat = dxhat.sum(axis=-1, keepdims=True) / n
+    mean_dxhat_xhat = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+    dx = dxhat - mean_dxhat
+    dx -= xhat * mean_dxhat_xhat
+    dx *= inv_std
     return dx, dgain, dbias
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in ``x``'s buffer.
+
+    Every caller passes a temporary it no longer needs (scores,
+    logits), so no (B, T, V) or (B, H, T, T) copies are allocated.
+    """
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class KVCache:
@@ -286,6 +305,7 @@ class TransformerModel:
         x = p["tok_emb"][token_ids] + p["pos_emb"][:time]
         n_heads = self.config.n_heads
         d_head = self.config.d_model // n_heads
+        scale = np.sqrt(d_head)
         for layer in range(self.config.n_layers):
             prefix = f"layer{layer}."
             x_in = x
@@ -303,7 +323,7 @@ class TransformerModel:
             if sink is not None:
                 sink.keys[layer][:, :, :time] = kh
                 sink.values[layer][:, :, :time] = vh
-            scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d_head) + causal
+            scores = qh @ kh.transpose(0, 1, 3, 2) / scale + causal
             attn = _softmax(scores)
             context = attn @ vh                                # (B,h,T,dh)
             merged = context.transpose(0, 2, 1, 3).reshape(batch, time, -1)
@@ -315,7 +335,7 @@ class TransformerModel:
                 x, p[prefix + "ln2_g"], p[prefix + "ln2_b"]
             )
             hidden_pre = normed2 @ p[prefix + "w1"] + p[prefix + "b1"]
-            hidden = _gelu(hidden_pre)
+            hidden, gelu_tanh = _gelu_forward(hidden_pre)
             mlp_out = hidden @ p[prefix + "w2"] + p[prefix + "b2"]
             x = x_mid + mlp_out
 
@@ -325,6 +345,7 @@ class TransformerModel:
                     "qh": qh, "kh": kh, "vh": vh, "attn": attn, "merged": merged,
                     "ln2": ln2_cache, "normed2": normed2,
                     "hidden_pre": hidden_pre, "hidden": hidden,
+                    "gelu_tanh": gelu_tanh,
                 })
         final, final_cache = _layernorm_forward(x, p["final_ln_g"], p["final_ln_b"])
         if cache is not None:
@@ -454,6 +475,7 @@ class TransformerModel:
         p = self.params
         n_heads = self.config.n_heads
         d_head = self.config.d_model // n_heads
+        scale = np.sqrt(d_head)
         rows = np.arange(batch)
         upto = int(lengths.max()) + 1
         # Position j is attendable for row b once its token is written:
@@ -478,7 +500,7 @@ class TransformerModel:
             values[rows, :, lengths] = vh
             scores = np.einsum(
                 "bhd,bhjd->bhj", qh, keys[:, :, :upto]
-            ) / np.sqrt(d_head)
+            ) / scale
             # np.where (not an additive mask) so stale buffer contents
             # can never leak, whatever value they hold.
             scores = np.where(valid[:, None, :], scores, _MASK)
@@ -491,7 +513,9 @@ class TransformerModel:
             normed2, _ = _layernorm_forward(
                 x, p[prefix + "ln2_g"], p[prefix + "ln2_b"]
             )
-            hidden = _gelu(normed2 @ p[prefix + "w1"] + p[prefix + "b1"])
+            hidden, _ = _gelu_forward(
+                normed2 @ p[prefix + "w1"] + p[prefix + "b1"]
+            )
             x = x_mid + hidden @ p[prefix + "w2"] + p[prefix + "b2"]
         final, _ = _layernorm_forward(x, p["final_ln_g"], p["final_ln_b"])
         kv_cache.lengths = lengths + 1
@@ -521,7 +545,9 @@ class TransformerModel:
         loss = float(
             -(np.log(np.clip(label_probs, 1e-12, None)) * loss_mask).sum() / total
         )
-        dlogits = probs.copy()
+        # probs is dead once label_probs is gathered (a copy), so the
+        # logit gradient is built in its buffer.
+        dlogits = probs
         dlogits[np.arange(batch)[:, None], np.arange(time)[None, :], targets] -= 1.0
         dlogits *= (loss_mask / total)[..., None]
         grads = self._backward(dlogits, cache)
@@ -535,6 +561,7 @@ class TransformerModel:
         batch, time, _ = dlogits.shape
         n_heads = self.config.n_heads
         d_head = self.config.d_model // n_heads
+        scale = np.sqrt(d_head)
 
         final = cache["final"]
         # logits = final @ tok_emb.T
@@ -554,7 +581,9 @@ class TransformerModel:
                 "btf,btd->fd", layer_cache["hidden"], dmlp_out
             )
             dhidden = dmlp_out @ p[prefix + "w2"].T
-            dhidden_pre = dhidden * _gelu_grad(layer_cache["hidden_pre"])
+            dhidden_pre = dhidden * _gelu_grad(
+                layer_cache["hidden_pre"], layer_cache["gelu_tanh"]
+            )
             grads[prefix + "b1"] += dhidden_pre.sum(axis=(0, 1))
             grads[prefix + "w1"] += np.einsum(
                 "btd,btf->df", layer_cache["normed2"], dhidden_pre
@@ -576,9 +605,11 @@ class TransformerModel:
             vh = layer_cache["vh"]
             dattn = dcontext @ vh.transpose(0, 1, 3, 2)
             dvh = attn.transpose(0, 1, 3, 2) @ dcontext
-            # softmax backward
-            dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-            dscores /= np.sqrt(d_head)
+            # softmax backward, built in dattn's buffer
+            dscores = dattn
+            dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+            dscores *= attn
+            dscores /= scale
             qh, kh = layer_cache["qh"], layer_cache["kh"]
             dqh = dscores @ kh
             dkh = dscores.transpose(0, 1, 3, 2) @ qh

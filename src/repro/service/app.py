@@ -64,6 +64,7 @@ from repro.service.schemas import (
     encode_unit,
     optional,
     require,
+    require_finite,
     require_string_list,
     require_text,
 )
@@ -618,6 +619,7 @@ class DimensionService:
             )
         except (DimensionLawViolation, ConversionError) as exc:
             raise UnprocessableRequest(str(exc)) from exc
+        require_finite([converted], "converted magnitude")
         return {
             "magnitude": converted,
             "unit": target.symbol,
@@ -647,6 +649,7 @@ class DimensionService:
             unit.conversion_value * value + unit.conversion_offset
             for value, unit in zip(values, units)
         ]
+        require_finite(si_values, "SI magnitude")
         ranking = sorted(range(len(si_values)),
                          key=lambda i: si_values[i], reverse=True)
         return {

@@ -17,6 +17,8 @@ asks.
 
 from __future__ import annotations
 
+import math
+
 from repro.dimension import DimensionVector
 from repro.text.extraction import ExtractedQuantity
 from repro.units.schema import UnitRecord
@@ -72,6 +74,18 @@ def require_string_list(payload: dict, field: str) -> list[str]:
     if not value or not all(isinstance(item, str) for item in value):
         raise BadRequest(f"field {field!r} must be a non-empty list of strings")
     return value
+
+
+def require_finite(values: list[float], what: str) -> None:
+    """UnprocessableRequest unless every result is finite.
+
+    A magnitude that overflows to ``inf`` (or turns ``nan``) has no
+    RFC 8259 JSON encoding, so it is a 422, never a 200 body.
+    """
+    if not all(math.isfinite(value) for value in values):
+        raise UnprocessableRequest(
+            f"{what} is not finite (overflows a 64-bit float)"
+        )
 
 
 # -- response encoding --------------------------------------------------------

@@ -1,8 +1,13 @@
-"""Tests for the numpy transformer: shapes, gradcheck, determinism."""
+"""Tests for the numpy transformer: shapes, gradcheck, determinism,
+and bit-identity of the fused kernels with their textbook references."""
 
 import numpy as np
 import pytest
 
+import repro.experiments.context as context_module
+import repro.llm.model as model_module
+from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.context import MICRO
 from repro.llm import TransformerConfig, TransformerModel
 
 
@@ -117,3 +122,191 @@ class TestParamUtils:
         model = tiny_model()
         with pytest.raises(ValueError):
             model.load_params({"tok_emb": np.zeros((2, 2))})
+
+
+# -- test-only reference kernels ------------------------------------------------
+#
+# The straightforward formulas: np.mean / np.var LayerNorm, a GELU slope
+# that recomputes ``x ** 3`` and tanh, a softmax that allocates its
+# result.  The model's kernels must reproduce them bit for bit.
+
+
+def reference_gelu(x):
+    c = np.sqrt(2.0 / np.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+
+
+def reference_gelu_grad(x):
+    c = np.sqrt(2.0 / np.pi)
+    u = c * (x + 0.044715 * x ** 3)
+    t = np.tanh(u)
+    du = c * (1.0 + 3.0 * 0.044715 * x ** 2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+
+
+def reference_layernorm_forward(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + model_module._EPS)
+    xhat = (x - mu) * inv_std
+    return gain * xhat + bias, (xhat, inv_std, gain)
+
+
+def reference_layernorm_backward(dy, cache):
+    xhat, inv_std, gain = cache
+    dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    dbias = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * gain
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return dx, dgain, dbias
+
+
+def reference_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def use_reference_kernels(monkeypatch):
+    monkeypatch.setattr(model_module, "_gelu_forward",
+                        lambda x: (reference_gelu(x), None))
+    monkeypatch.setattr(model_module, "_gelu_grad",
+                        lambda x, t: reference_gelu_grad(x))
+    monkeypatch.setattr(model_module, "_layernorm_forward",
+                        reference_layernorm_forward)
+    monkeypatch.setattr(model_module, "_layernorm_backward",
+                        reference_layernorm_backward)
+    monkeypatch.setattr(model_module, "_softmax", reference_softmax)
+
+
+def assert_bitwise_equal(actual, expected):
+    """Same dtype, shape and bytes: stricter than np.array_equal, which
+    calls -0.0 == 0.0 and NaN != NaN."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+#: Decode rows (B, d_model) and (B, d_ff) at MICRO's width; training
+#: activations (B, T, d_model) and (B, T, d_ff) at QUICK's shape.
+KERNEL_SHAPES = [(1, 32), (2, 32), (2, 64), (24, 52, 96), (24, 52, 192)]
+#: Tiny, unit and large magnitudes.
+KERNEL_SCALES = [1e-150, 1e-6, 1.0, 1e6, 1e150]
+
+
+def kernel_input(shape, scale, seed=0):
+    x = np.random.default_rng(seed).normal(0.0, scale, shape)
+    x[(0,) * (len(shape) - 1)] = 3.7 * scale   # an all-constant row
+    return x
+
+
+# x ** 3 and x * x overflow to inf at the largest scale; both sides do.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestKernelReferences:
+    @pytest.mark.parametrize("scale", KERNEL_SCALES)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu_and_grad(self, shape, scale):
+        x = kernel_input(shape, scale)
+        y, t = model_module._gelu_forward(x)
+        assert_bitwise_equal(y, reference_gelu(x))
+        assert_bitwise_equal(model_module._gelu_grad(x, t),
+                             reference_gelu_grad(x))
+
+    @pytest.mark.parametrize("scale", KERNEL_SCALES)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_layernorm_forward_and_backward(self, shape, scale):
+        x = kernel_input(shape, scale)
+        rng = np.random.default_rng(1)
+        gain = rng.normal(1.0, 0.1, shape[-1])
+        bias = rng.normal(0.0, 0.1, shape[-1])
+        out, cache = model_module._layernorm_forward(x, gain, bias)
+        ref_out, ref_cache = reference_layernorm_forward(x, gain, bias)
+        assert_bitwise_equal(out, ref_out)
+        for got, want in zip(cache, ref_cache):
+            assert_bitwise_equal(got, want)
+        dy = rng.normal(0.0, 1.0, shape)
+        for got, want in zip(model_module._layernorm_backward(dy, cache),
+                             reference_layernorm_backward(dy, ref_cache)):
+            assert_bitwise_equal(got, want)
+
+    def test_layernorm_constant_row_has_zero_variance(self):
+        x = kernel_input((2, 32), 1.0)
+        _, (xhat, inv_std, _) = model_module._layernorm_forward(
+            x, np.ones(32), np.zeros(32))
+        assert inv_std[0, 0] == 1.0 / np.sqrt(model_module._EPS)
+        assert not xhat[0].any()
+
+    @pytest.mark.parametrize("shape", [(2, 4, 9), (24, 52, 393),
+                                       (24, 4, 52, 52)])
+    def test_softmax_in_place(self, shape):
+        x = kernel_input(shape, 10.0)
+        expected = reference_softmax(x)
+        buffer = x.copy()
+        assert model_module._softmax(buffer) is buffer
+        assert_bitwise_equal(buffer, expected)
+
+
+class TestModelBitIdentity:
+    """Whole-model outputs with the fused kernels swapped for the
+    references above: every bit must agree."""
+
+    def _both(self, monkeypatch, run):
+        def model():
+            return tiny_model(vocab_size=61, d_model=32, n_heads=4,
+                              d_ff=64, max_len=24, seed=5)
+
+        fused = run(model())
+        with monkeypatch.context() as patch:
+            use_reference_kernels(patch)
+            reference = run(model())
+        return fused, reference
+
+    def test_loss_and_grads(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        ids = rng.integers(0, 61, (6, 20))
+        targets = rng.integers(0, 61, (6, 20))
+        mask = (rng.random((6, 20)) < 0.6).astype(float)
+        (loss, grads), (ref_loss, ref_grads) = self._both(
+            monkeypatch, lambda m: m.loss_and_grads(ids, targets, mask))
+        assert_bitwise_equal(loss, ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert_bitwise_equal(grads[name], ref_grads[name])
+
+    def test_prefill_and_steps(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 61, (3, 9))
+        lengths = np.array([9, 5, 2])
+
+        def decode(model):
+            logits, cache = model.infer_prefill(ids, lengths, capacity=16)
+            out = [logits]
+            for _ in range(4):
+                logits = model.infer_step(logits.argmax(-1), cache)
+                out.append(logits)
+            return out
+
+        fused, reference = self._both(monkeypatch, decode)
+        for got, want in zip(fused, reference):
+            assert_bitwise_equal(got, want)
+
+    def test_micro_cold_train_parameters(self, monkeypatch, tmp_path):
+        def cold_train(store_dir):
+            monkeypatch.setattr(context_module, "_CACHE", {})
+            models = context_module.get_context(
+                seed=0, profile=MICRO, store=ArtifactStore(store_dir)
+            ).models
+            return [models.llama_ift_params, models.dimperc_params]
+
+        fused = cold_train(tmp_path / "fused")
+        with monkeypatch.context() as patch:
+            use_reference_kernels(patch)
+            reference = cold_train(tmp_path / "reference")
+        for got, want in zip(fused, reference):
+            assert got.keys() == want.keys()
+            for name in got:
+                assert_bitwise_equal(got[name], want[name])

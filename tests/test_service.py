@@ -292,6 +292,15 @@ class TestEndpoints:
         assert status == 422
         assert "dimension" in body["error"]
 
+    def test_convert_overflow_is_422(self, kb_service):
+        """1e308 km is 1e314 mm: inf has no JSON encoding, so no 200."""
+        _, client = kb_service
+        status, body = client.request(
+            "/convert", {"value": 1e308, "source": "km", "target": "mm"}
+        )
+        assert status == 422
+        assert "not finite" in body["error"]
+
     def test_compare(self, kb_service):
         _, client = kb_service
         status, body = client.request("/compare", {"quantities": [
@@ -310,6 +319,14 @@ class TestEndpoints:
             {"value": 1, "unit": "km"}, {"value": 1, "unit": "kg"},
         ]})
         assert status == 422
+
+    def test_compare_overflow_is_422(self, kb_service):
+        _, client = kb_service
+        status, body = client.request("/compare", {"quantities": [
+            {"value": 1e308, "unit": "km"}, {"value": 1, "unit": "m"},
+        ]})
+        assert status == 422
+        assert "not finite" in body["error"]
 
     def test_dimension_expression(self, kb_service):
         _, client = kb_service
