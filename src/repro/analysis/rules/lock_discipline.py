@@ -5,7 +5,7 @@ PR 4's thread-safety audit fixed a family of double-checked-init races
 by hand; this rule makes the convention checkable.  Declare guarded
 state with a trailing comment on its initialising assignment::
 
-    class MicroBatcher:
+    class ContinuousBatcher:
         def __init__(self):
             self._lock = threading.Lock()
             self._queue = deque()   # guarded by: self._lock
@@ -16,7 +16,7 @@ From then on every read or write of ``self._queue`` (any method of the
 class) or ``_CACHE`` (anywhere in the module) must sit lexically inside
 a ``with`` block on one of the named locks.  Several acceptable locks
 may be listed comma-separated — a :class:`threading.Condition` wrapping
-the lock counts as holding it, so the batchers declare
+the lock counts as holding it, so the scheduler declares
 ``# guarded by: self._wake, self._lock``.
 
 Deliberate escape hatches (both are conventions the serving code

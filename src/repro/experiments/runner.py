@@ -11,7 +11,6 @@ overrides the location, ``--no-artifacts`` disables persistence).
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
 from repro.engine import EngineConfig, set_default_engine
@@ -20,13 +19,6 @@ from repro.experiments.manifest import write_manifest
 from repro.experiments.scheduler import run_experiments
 from repro.experiments.spec import SPECS, get_spec, light_ids, resolve, shard
 
-#: Back-compat view of the registry: experiment id -> module path.
-#: Entries added here at runtime (the pre-registry extension point) are
-#: still honoured by :func:`run_experiment`.
-EXPERIMENTS: dict[str, str] = {
-    spec.id: spec.module for spec in SPECS.values()
-}
-
 #: Experiments cheap enough to run by default with ``all``.
 LIGHT = light_ids()
 
@@ -34,21 +26,10 @@ LIGHT = light_ids()
 def run_experiment(name: str, quick: bool = True, seed: int = 0):
     """Run one registered experiment by id.
 
-    Resolves through the spec registry first, then through any module
-    path registered directly in :data:`EXPERIMENTS`.  Unknown ids raise
-    ``KeyError`` (not ``SystemExit``), so programmatic callers can catch
-    the failure.
+    Resolves through the spec registry.  Unknown ids raise ``KeyError``
+    (not ``SystemExit``), so programmatic callers can catch the failure.
     """
-    try:
-        spec = get_spec(name)
-    except KeyError:
-        module_name = EXPERIMENTS.get(name)
-        if module_name is None:
-            raise
-        return importlib.import_module(module_name).run(
-            quick=quick, seed=seed
-        )
-    return spec.run(quick=quick, seed=seed)
+    return get_spec(name).run(quick=quick, seed=seed)
 
 
 def main(argv: list[str] | None = None) -> int:

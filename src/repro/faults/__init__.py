@@ -13,10 +13,10 @@ it through two one-line hooks:
   so production paths pay nothing (``benchmarks/bench_service.py``
   gates this).
 - :func:`triggered(site) <triggered>` only *reports* whether the site
-  fired, for call sites that shape their own failure (the batchers
-  raise their own :class:`~repro.service.batcher.BatcherSaturated` for
-  the ``queue.full`` site, keeping this package free of service
-  imports).
+  fired, for call sites that shape their own failure (the ``/solve``
+  scheduler raises its own
+  :class:`~repro.service.scheduler.BatcherSaturated` for the
+  ``queue.full`` site, keeping this package free of service imports).
 
 :class:`FaultError` subclasses :class:`OSError` on purpose: the
 artifact store and the fleet peer mesh already treat ``OSError`` as
@@ -226,7 +226,7 @@ def triggered(site: str) -> bool:
     """Whether the site fires this hit; the caller shapes the failure.
 
     For sites whose natural failure is not an exception this package
-    can raise (the batchers' ``queue.full`` raises their own
+    can raise (the scheduler's ``queue.full`` raises its own
     ``BatcherSaturated``), so :mod:`repro.faults` never needs to import
     service code.
     """

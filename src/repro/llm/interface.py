@@ -8,9 +8,9 @@ which one they score.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from repro.llm.generation import DecodeStats, greedy_decode, greedy_decode_batch
+from repro.llm.generation import greedy_decode, greedy_decode_batch
 from repro.llm.model import TransformerModel
 from repro.llm.tokenizer import Tokenizer
 
@@ -43,7 +43,6 @@ class TransformerLM:
         max_new_tokens: int = 48,
         cache_key: str | None = None,
         use_kv_cache: bool = True,
-        decode_observer: Callable[[DecodeStats], None] | None = None,
     ):
         """``cache_key`` identifies this model in the evaluation engine's
         completion memo; pass one that fingerprints the loaded weights
@@ -51,9 +50,6 @@ class TransformerLM:
 
         ``use_kv_cache`` selects the incremental-decoding path (on by
         default; outputs are token-identical either way).
-        ``decode_observer`` -- when set -- receives a fresh
-        :class:`~repro.llm.generation.DecodeStats` after every decode
-        call; the serving layer exports these through ``/metrics``.
         """
         self.model = model
         self.tokenizer = tokenizer
@@ -61,18 +57,14 @@ class TransformerLM:
         self.max_new_tokens = max_new_tokens
         self.cache_key = cache_key or name
         self.use_kv_cache = use_kv_cache
-        self.decode_observer = decode_observer
 
     def generate(self, prompt: str) -> str:
         """Greedy-decode a completion for a symbolic prompt."""
         prompt_ids = self.tokenizer.encode(prompt)
-        stats = DecodeStats() if self.decode_observer is not None else None
         output_ids = greedy_decode(
             self.model, prompt_ids, max_new_tokens=self.max_new_tokens,
-            use_kv_cache=self.use_kv_cache, stats=stats,
+            use_kv_cache=self.use_kv_cache,
         )
-        if stats is not None:
-            self.decode_observer(stats)
         return self.tokenizer.decode(output_ids)
 
     def generate_batch(self, prompts: list[str]) -> list[str]:
@@ -83,11 +75,8 @@ class TransformerLM:
         and amortises the numpy dispatch overhead.
         """
         prompt_ids = [self.tokenizer.encode(prompt) for prompt in prompts]
-        stats = DecodeStats() if self.decode_observer is not None else None
         output_ids = greedy_decode_batch(
             self.model, prompt_ids, max_new_tokens=self.max_new_tokens,
-            use_kv_cache=self.use_kv_cache, stats=stats,
+            use_kv_cache=self.use_kv_cache,
         )
-        if stats is not None:
-            self.decode_observer(stats)
         return [self.tokenizer.decode(ids) for ids in output_ids]

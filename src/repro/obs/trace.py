@@ -16,8 +16,8 @@ Design constraints the implementation encodes:
   threads (HTTP handler, decode worker, resolver, handler again), so a
   trace travels *by handle*: the HTTP layer stores it in a
   ``contextvars.ContextVar`` for the submitting thread
-  (:func:`current_trace`), and the batchers carry the handle alongside
-  each queued item into their worker threads.  Span recording is
+  (:func:`current_trace`), and the scheduler carries the handle
+  alongside each queued item into its worker threads.  Span recording is
   lock-guarded and append-only, so concurrent recorders never lose or
   interleave spans (the hammer test in ``tests/test_obs.py`` pins this
   down).
@@ -216,7 +216,7 @@ class Trace:
         return payload
 
 
-#: The submitting thread's active trace; batcher ``submit`` reads this
+#: The submitting thread's active trace; scheduler ``submit`` reads this
 #: so handlers never thread a trace argument through their signatures.
 _CURRENT: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
     "repro_obs_trace", default=None

@@ -2,8 +2,7 @@
 
 Everything PRs 1-3 built runs offline (engine batches, experiment
 scheduler, annotation pipeline); this package turns the same hot paths
-into JSON endpoints behind a stdlib-only threaded HTTP server with
-dynamic micro-batching::
+into JSON endpoints behind a stdlib-only threaded HTTP server::
 
     python -m repro.service --port 8080 --profile quick
 
@@ -16,12 +15,9 @@ dynamic micro-batching::
     GET  /healthz
     GET  /metrics                                       # Prometheus text
 
-Concurrent ``/ground``/``/extract`` requests queue per endpoint and are
-coalesced into the repo's batched backends (``ground_batch``,
-``extract_batch``) under a max-latency / max-batch-size policy --
-single-request latency stays near-interactive while throughput rides
-the batch APIs.  ``/solve`` decodes through a continuous-batching
-scheduler (:class:`~repro.service.scheduler.ContinuousBatcher`):
+``/ground``, ``/extract``, ``/convert``, ``/compare`` and ``/dimension``
+answer inline on the handler thread.  ``/solve`` decodes through a
+continuous-batching scheduler (:class:`~repro.service.scheduler.ContinuousBatcher`):
 requests prefill into live KV-cache rows as rows free up, each response
 returns the step its row finishes, and a bounded in-flight budget turns
 overload into 429s.  Trained model contexts warm-load from the
@@ -43,7 +39,6 @@ from repro.service.app import (
     ServiceConfig,
     ServiceUnavailable,
 )
-from repro.service.batcher import BatcherClosed, BatcherSaturated, MicroBatcher
 from repro.service.deadline import (
     DEADLINE_HEADER,
     ClientDisconnected,
@@ -54,7 +49,11 @@ from repro.service.deadline import (
 from repro.service.fleet import FleetConfig, FleetContext, FleetSupervisor
 from repro.service.http import ServiceServer, build_server
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import ContinuousBatcher
+from repro.service.scheduler import (
+    BatcherClosed,
+    BatcherSaturated,
+    ContinuousBatcher,
+)
 from repro.service.schemas import BadRequest, UnprocessableRequest
 from repro.service.solver import MWPSolver, SolveResult
 
@@ -74,7 +73,6 @@ __all__ = [
     "FleetSupervisor",
     "MWPSolver",
     "MetricsRegistry",
-    "MicroBatcher",
     "ServiceConfig",
     "ServiceServer",
     "ServiceUnavailable",

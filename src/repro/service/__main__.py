@@ -44,21 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trained-context budget backing /solve "
                              "('off' serves KB endpoints only)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=32,
-                        help="micro-batch flush size")
-    parser.add_argument("--max-latency-ms", type=float, default=2.0,
-                        help="micro-batch max wait after the first "
-                             "queued request")
     parser.add_argument("--queue-size", type=int, default=1024,
-                        help="bounded per-endpoint queue (429 beyond it)")
-    parser.add_argument("--solve-scheduler", default="continuous",
-                        choices=("continuous", "batch"),
-                        help="/solve decode scheduling: continuous "
-                             "(step-level admit/retire) or batch "
-                             "(run-to-completion micro-batches)")
+                        help="bound on queued /solve requests and on "
+                             "/ground + /extract requests running at "
+                             "once (429 beyond it)")
     parser.add_argument("--max-inflight-rows", type=int, default=32,
-                        help="continuous scheduler: KV rows decoding "
-                             "at once")
+                        help="/solve scheduler: KV rows decoding at once")
     parser.add_argument("--artifact-dir", default="",
                         help="artifact-store override for warm loading")
     parser.add_argument("--trace-sample-rate", type=float, default=1.0,
@@ -117,13 +108,10 @@ def main(argv: list[str] | None = None) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        max_batch_size=args.batch_size,
-        max_latency=args.max_latency_ms / 1000.0,
         max_queue=args.queue_size,
         profile=args.profile,
         seed=args.seed,
         artifact_dir=args.artifact_dir,
-        solve_scheduler=args.solve_scheduler,
         max_inflight_rows=args.max_inflight_rows,
         trace_sample_rate=args.trace_sample_rate,
         trace_buffer_size=args.trace_buffer,
@@ -154,9 +142,8 @@ def main(argv: list[str] | None = None) -> int:
             else "cold-trained (persisted for next boot)"
         print(f"trained context: {boot}", flush=True)
     print(f"serving on http://{host}:{port} "
-          f"(batch<= {config.max_batch_size}, "
-          f"latency<= {config.max_latency * 1000:g}ms, "
-          f"solve={config.solve_scheduler})", flush=True)
+          f"(queue<= {config.max_queue}, "
+          f"rows<= {config.max_inflight_rows})", flush=True)
 
     stop = threading.Event()
 

@@ -1,4 +1,4 @@
-"""The serving application: state, endpoint handlers, micro-batch wiring.
+"""The serving application: state, endpoint handlers, scheduler wiring.
 
 :class:`DimensionService` owns every long-lived object a request needs --
 the shared KB + grounder, the evaluation engine (completion memo +
@@ -7,22 +7,19 @@ each endpoint to a handler.  The transport layer
 (:mod:`repro.service.http`) stays dumb: it parses JSON, calls
 ``service.dispatch`` and writes the status/body pair back.
 
-Batching strategy per endpoint:
+Scheduling per endpoint:
 
-- ``/solve`` defaults to the continuous decode scheduler
-  (:class:`~repro.service.scheduler.ContinuousBatcher`): requests are
-  prefilled into live KV rows as rows free up and each answer returns
-  the step its row finishes.  ``solve_scheduler="batch"`` keeps the
-  run-to-completion micro-batched path instead.
-- ``/ground`` and ``/extract`` queue through a
-  :class:`~repro.service.batcher.MicroBatcher` each: their backends have
-  true batch APIs (``ground_batch``/``extract_batch``) whose throughput
-  rides batch size and whose per-item cost is uniform, so
-  run-to-completion loses nothing.
-- ``/convert``, ``/compare`` and ``/dimension`` answer inline: their
-  backends are O(1) after the shared
-  :class:`~repro.engine.ConversionCache` warms, so queueing would add
-  latency and no throughput.
+- ``/solve`` queues through the continuous decode scheduler
+  (:class:`~repro.service.scheduler.ContinuousBatcher`), the service's
+  one queue: requests are prefilled into live KV rows as rows free up
+  and each answer returns the step its row finishes.
+- Every other endpoint answers inline on the handler thread.
+  ``/ground`` and ``/extract`` call the grounder's batch API with a
+  one-text batch (its fastest single-text path); a shared non-blocking
+  semaphore of ``max_queue`` slots bounds how many run at once and
+  answers 429 beyond it.  Coalescing concurrent requests into wider
+  batches was measured at 0.76-0.86x the throughput of answering
+  inline, so they do not queue.
 
 Trained-model state warm-loads from the PR 3 artifact store at startup
 (:func:`repro.experiments.context.get_context`): a host that has trained
@@ -34,6 +31,7 @@ went.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
 
@@ -45,7 +43,6 @@ from repro.experiments.context import get_context, profile_named
 from repro.faults import FaultError
 from repro.obs import Trace, Tracer, get_logger, trace_span, use_trace
 from repro.quantity.grounder import QuantityGrounder, grounder_for
-from repro.service.batcher import BatcherClosed, BatcherSaturated, MicroBatcher
 from repro.service.deadline import (
     ClientDisconnected,
     Deadline,
@@ -55,7 +52,11 @@ from repro.service.deadline import (
     use_probe,
 )
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import ContinuousBatcher
+from repro.service.scheduler import (
+    BatcherClosed,
+    BatcherSaturated,
+    ContinuousBatcher,
+)
 from repro.service.schemas import (
     BadRequest,
     UnprocessableRequest,
@@ -80,11 +81,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Micro-batch window: flush at this many queued requests ...
-    max_batch_size: int = 32
-    #: ... or this many seconds after the first queued request.
-    max_latency: float = 0.002
-    #: Bounded per-endpoint queue; beyond it requests get 429.
+    #: Bound on queued /solve requests, and on /ground + /extract
+    #: requests running at once; beyond it requests get 429.
     max_queue: int = 1024
     #: Trained-context profile for /solve: "micro", "quick", "full",
     #: or "off" (KB-backed endpoints only; /solve answers 503).
@@ -92,14 +90,9 @@ class ServiceConfig:
     seed: int = 0
     #: Artifact-store override ("" keeps the process default).
     artifact_dir: str = ""
-    #: Engine knobs for the completion memo / conversion cache.
-    engine_batch_size: int = 32
+    #: Completion-memo size (0 disables the memo).
     completion_cache_size: int = 2048
-    #: /solve decode scheduling: "continuous" admits requests into KV
-    #: rows mid-flight and retires rows the step they finish; "batch"
-    #: keeps the run-to-completion micro-batched path.
-    solve_scheduler: str = "continuous"
-    #: Continuous-scheduler budget: live KV rows decoding at once.
+    #: /solve scheduler budget: live KV rows decoding at once.
     #: Queued requests wait for a free row; beyond max_queue they 429.
     max_inflight_rows: int = 32
     #: Probability an un-forced POST request is traced (1.0 = all,
@@ -118,11 +111,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.profile != "off":
             profile_named(self.profile)  # validate eagerly
-        if self.solve_scheduler not in ("continuous", "batch"):
-            raise ValueError(
-                f"solve_scheduler must be 'continuous' or 'batch', "
-                f"got {self.solve_scheduler!r}"
-            )
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be at least 1")
         if self.max_inflight_rows < 1:
             raise ValueError("max_inflight_rows must be at least 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
@@ -185,53 +175,30 @@ class DimensionService:
         self.kb = default_kb()
         self.grounder: QuantityGrounder = grounder_for(self.kb)
         self.engine = EvaluationEngine(EngineConfig(
-            batch_size=self.config.engine_batch_size,
             completion_cache_size=self.config.completion_cache_size,
         ))
         self.solver: MWPSolver | None = None
         self.warm_loaded: bool | None = None
         if self.config.profile != "off":
             self._load_solver()
-        self._batchers: dict[str, MicroBatcher | ContinuousBatcher] = {}
-        self._ground_batcher = self._make_batcher(
-            "ground", self.grounder.ground_batch
-        )
-        self._extract_batcher = self._make_batcher(
-            "extract", self.grounder.extract_batch
-        )
-        self._solve_batcher: MicroBatcher | ContinuousBatcher | None = None
+        #: /ground + /extract requests allowed to run at once.
+        self._inline_slots = threading.BoundedSemaphore(self.config.max_queue)
+        self._draining = False
+        self._solve_batcher: ContinuousBatcher | None = None
         if self.solver is not None:
-            if self.config.solve_scheduler == "continuous":
-                self._solve_batcher = ContinuousBatcher(
-                    self.solver.lm,
-                    finish=self.solver.finish,
-                    max_inflight_rows=self.config.max_inflight_rows,
-                    max_queue=self.config.max_queue,
-                    name="solve",
-                    on_admit=self._record_batch,
-                    on_decode=self._record_decode,
-                    on_abandoned=self._record_abandoned,
-                    completion_cache=self.engine.runner.completion_cache,
-                )
-                self._batchers["solve"] = self._solve_batcher
-            else:
-                self._solve_batcher = self._make_batcher(
-                    "solve", self.solver.solve_batch
-                )
+            self._solve_batcher = ContinuousBatcher(
+                self.solver.lm,
+                finish=self.solver.finish,
+                max_inflight_rows=self.config.max_inflight_rows,
+                max_queue=self.config.max_queue,
+                name="solve",
+                on_admit=self._record_batch,
+                on_decode=self._record_decode,
+                on_abandoned=self._record_abandoned,
+                completion_cache=self.engine.runner.completion_cache,
+            )
 
-    # -- construction helpers ------------------------------------------------
-
-    def _make_batcher(self, name: str, fn) -> MicroBatcher:
-        batcher = MicroBatcher(
-            fn,
-            max_batch_size=self.config.max_batch_size,
-            max_latency=self.config.max_latency,
-            max_queue=self.config.max_queue,
-            name=name,
-            on_batch=self._record_batch,
-        )
-        self._batchers[name] = batcher
-        return batcher
+    # -- scheduler metric hooks ----------------------------------------------
 
     def _record_batch(self, name: str, size: int) -> None:
         self.metrics.inc("batches_total", endpoint=name)
@@ -241,9 +208,9 @@ class DimensionService:
         self.metrics.inc("requests_abandoned_total", count, endpoint=name)
 
     def _record_decode(self, stats) -> None:
-        """Fold one decode call's :class:`~repro.llm.DecodeStats` into
-        the registry -- the serving win of KV-cached decoding shows up
-        as tokens per step-second, not just in offline benchmarks."""
+        """Fold one scheduler round's :class:`~repro.llm.DecodeStats`
+        into the registry -- the serving win of KV-cached decoding shows
+        up as tokens per step-second, not just in offline benchmarks."""
         m = self.metrics
         m.inc("solve_decode_tokens_total", stats.tokens)
         m.inc("solve_decode_steps_total", stats.steps)
@@ -271,36 +238,30 @@ class DimensionService:
         lm = context.models.as_dimperc(
             name=f"DimPerc-{self.config.profile}"
         )
-        # Every /solve decode reports its token/step/latency counters
-        # here: run-to-completion decodes through the LM observer, the
-        # continuous scheduler through its own on_decode deltas (both
-        # fire from the single solve worker thread).
-        lm.decode_observer = self._record_decode
-        self.solver = MWPSolver(self.grounder, lm, self.engine.runner)
+        self.solver = MWPSolver(self.grounder, lm)
 
     def _describe_metrics(self) -> None:
         m = self.metrics
         m.describe("requests_total",
                    "Requests handled, labelled by endpoint and status.")
         m.describe("batches_total",
-                   "Micro-batches executed per batched endpoint.")
+                   "/solve admission waves (one prefill pass each).")
         m.describe("batched_requests_total",
-                   "Requests served through micro-batches (sum of batch "
-                   "sizes); divide by batches_total for mean batch size.")
+                   "Unique /solve prompts admitted into KV rows (sum of "
+                   "wave sizes); divide by batches_total for mean wave "
+                   "size.")
         m.describe("request_seconds_total",
                    "Wall-clock seconds spent handling requests.")
         m.describe("request_seconds",
                    "Per-endpoint request-latency histogram (seconds); "
                    "feed the _bucket rates to histogram_quantile for "
                    "p50/p99.")
-        m.describe("queue_depth",
-                   "Queued-but-unbatched requests per batched endpoint.")
         m.describe("solve_queue_depth",
                    "/solve requests queued awaiting a decode slot "
                    "(scheduler admission queue; 429 beyond max_queue).")
         m.describe("solve_inflight_rows",
                    "Unique prompts decoding in live KV rows right now "
-                   "(continuous scheduler; bounded by max_inflight_rows).")
+                   "(bounded by max_inflight_rows).")
         m.describe("solve_decode_tokens_total",
                    "Tokens generated by /solve decodes (EOS excluded).")
         m.describe("solve_decode_steps_total",
@@ -399,7 +360,7 @@ class DimensionService:
         ``/metrics``, which returns the Prometheus text exposition.
         ``trace`` (when the transport opened one) is bound as the
         current trace for the handler's duration, so spans recorded
-        anywhere down the call stack -- batcher queues, the decode
+        anywhere down the call stack -- the grounder call, the decode
         scheduler, the solver -- land on this request's timeline.
         ``deadline`` and ``probe`` (the client-socket liveness check)
         bind the same way: every queue ticket below captures them, and
@@ -455,7 +416,7 @@ class DimensionService:
                 "error": exc.args[0] if exc.args else str(exc)
             }
         except Exception as exc:  # noqa: BLE001 -- a backend bug must
-            # still answer (and count): batch-fn errors fan out through
+            # still answer (and count): scheduler errors fan out through
             # futures and would otherwise drop the socket with no
             # response and no requests_total sample.
             status, body = 500, {
@@ -471,7 +432,7 @@ class DimensionService:
     # -- endpoint handlers ----------------------------------------------------
 
     def handle_healthz(self, payload: dict) -> dict:
-        """Liveness/readiness: model state, KB size, batching knobs.
+        """Liveness/readiness: model state, KB size, queueing knobs.
 
         Fleet mode adds a ``fleet`` block: per-worker warm/cold and
         pid (queried live over the peer mesh) plus the supervisor's
@@ -495,10 +456,7 @@ class DimensionService:
                 "warm_loaded": self.warm_loaded,
             },
             "batching": {
-                "max_batch_size": self.config.max_batch_size,
-                "max_latency_seconds": self.config.max_latency,
                 "max_queue": self.config.max_queue,
-                "solve_scheduler": self.config.solve_scheduler,
                 "max_inflight_rows": self.config.max_inflight_rows,
             },
             "default_deadline_ms": self.config.default_deadline_ms,
@@ -522,10 +480,7 @@ class DimensionService:
         local ``/metrics`` rendering and the fleet peer protocol's
         ``dump_state`` both want queue depths as of *now*.
         """
-        for name, batcher in self._batchers.items():
-            self.metrics.set_gauge("queue_depth", batcher.pending(),
-                                   endpoint=name)
-        if isinstance(self._solve_batcher, ContinuousBatcher):
+        if self._solve_batcher is not None:
             self.metrics.set_gauge("solve_queue_depth",
                                    self._solve_batcher.pending())
             self.metrics.set_gauge("solve_inflight_rows",
@@ -595,18 +550,40 @@ class DimensionService:
         }
 
     def handle_ground(self, payload: dict) -> dict:
-        """Grounded quantities of one text (micro-batched Definition 2)."""
+        """Grounded quantities of one text (Definition 2)."""
         text = require_text(payload)
-        quantities = self._ground_batcher(text)
+        quantities = self._run_inline("ground", self.grounder.ground_batch,
+                                      text)
         return {"text": text,
                 "quantities": [encode_quantity(q) for q in quantities]}
 
     def handle_extract(self, payload: dict) -> dict:
-        """Every extracted quantity, bare numbers included (micro-batched)."""
+        """Every extracted quantity, bare numbers included."""
         text = require_text(payload)
-        quantities = self._extract_batcher(text)
+        quantities = self._run_inline("extract",
+                                      self.grounder.extract_batch, text)
         return {"text": text,
                 "quantities": [encode_quantity(q) for q in quantities]}
+
+    def _run_inline(self, name: str, batch_fn, text: str):
+        """``batch_fn([text])[0]`` on the handler thread, admission-bound.
+
+        Refuses with :class:`BatcherClosed` (503) once the service is
+        draining and with :class:`BatcherSaturated` (429) when
+        ``max_queue`` grounder calls are already running.
+        """
+        if self._draining:
+            raise BatcherClosed(f"endpoint {name!r} is closed (draining)")
+        if not self._inline_slots.acquire(blocking=False):
+            raise BatcherSaturated(
+                f"endpoint {name!r} is full "
+                f"({self.config.max_queue} running)"
+            )
+        try:
+            with trace_span("execute"):
+                return batch_fn([text])[0]
+        finally:
+            self._inline_slots.release()
 
     def handle_convert(self, payload: dict) -> dict:
         """Affine-safe unit conversion through the shared cache pool."""
@@ -710,12 +687,14 @@ class DimensionService:
     def retry_after_seconds(self) -> int:
         """A queue-depth-derived backoff hint for 429/503/504 responses.
 
-        One batch window per queued batch-worth of work, floored at 1s
-        and capped at 30s -- honest enough for a client to spread its
-        retries without the server promising a precise drain time.
+        One second per in-flight budget's worth of queued ``/solve``
+        requests, floored at 1s and capped at 30s -- honest enough for a
+        client to spread its retries without the server promising a
+        precise drain time.
         """
-        depth = sum(batcher.pending() for batcher in self._batchers.values())
-        return max(1, min(30, 1 + depth // max(self.config.max_batch_size, 1)))
+        batcher = self._solve_batcher
+        depth = batcher.pending() if batcher is not None else 0
+        return max(1, min(30, 1 + depth // self.config.max_inflight_rows))
 
     def _link_unit(self, mention: str, field: str) -> UnitRecord:
         unit = self.grounder.link_best(mention)
@@ -730,19 +709,21 @@ class DimensionService:
     def begin_drain(self) -> None:
         """Refuse new work everywhere while queued work keeps running.
 
-        Every batcher flips to :class:`BatcherClosed` (the dispatch
-        table answers 503) without waiting for its queue -- the fleet's
-        SIGTERM ordering guarantee: the whole worker stops admitting
-        *before* anything exits.  Follow with :meth:`close` to wait the
-        queues out.
+        ``/ground``, ``/extract`` and the ``/solve`` scheduler flip to
+        :class:`BatcherClosed` (the dispatch table answers 503) without
+        waiting for queued work -- the fleet's SIGTERM ordering
+        guarantee: the whole worker stops admitting *before* anything
+        exits.  Follow with :meth:`close` to wait the queue out.
         """
-        for batcher in self._batchers.values():
-            batcher.drain()
+        self._draining = True
+        if self._solve_batcher is not None:
+            self._solve_batcher.drain()
 
     def close(self) -> None:
-        """Graceful shutdown: drain every batcher's queue, then stop."""
-        for batcher in self._batchers.values():
-            batcher.close()
+        """Graceful shutdown: drain the ``/solve`` queue, then stop."""
+        self.begin_drain()
+        if self._solve_batcher is not None:
+            self._solve_batcher.close()
 
 
 def encode_body(body: dict | str) -> tuple[bytes, str]:

@@ -11,8 +11,8 @@ where it was detected:
 ``pre-queue``
     the HTTP edge, before the request enters any queue;
 ``queued``
-    shed while waiting in a batcher queue (micro-batcher batch pop, or
-    the continuous scheduler's arrival classification);
+    shed while waiting in the ``/solve`` scheduler's admission queue
+    (its arrival classification);
 ``admitted``
     caught at the admission boundary, before prefill spends compute;
 ``decoding``
@@ -22,7 +22,7 @@ where it was detected:
     the backstop: the submitting thread's bounded ``future.result``
     wait ran out (covers any stage that failed to shed).
 
-:class:`Ticket` is the single object the batcher queues carry per
+:class:`Ticket` is the single object the scheduler queue carries per
 request -- the trace handle (PR 9), the deadline, and the liveness
 probe for the submitting client's socket travel together, so adding a
 per-request field never means another queue-tuple reshuffle.

@@ -1,6 +1,6 @@
 """Pre-fork worker fleet: multi-process serving behind one port.
 
-PR 6's continuous batcher removed the batching ceiling inside one
+The continuous decode scheduler removed the batching ceiling inside one
 process; the remaining ceiling is the process — Python's GIL serializes
 every decode step however cleverly they are scheduled.  This module
 fans the service out the classic pre-fork way:
@@ -10,7 +10,7 @@ fans the service out the classic pre-fork way:
   context from the artifact store — then forks N workers, so model
   parameters are shared copy-on-write instead of loaded N times;
 - each worker runs a full :class:`~repro.service.app.DimensionService`
-  (its own batchers, its own engine) and binds the *same* TCP port with
+  (its own scheduler, its own engine) and binds the *same* TCP port with
   ``SO_REUSEPORT``, letting the kernel spread accepted connections
   across workers.  Platforms without ``SO_REUSEPORT`` fall back to a
   parent acceptor that round-robins accepted sockets to workers over
@@ -669,8 +669,9 @@ def _worker_main(worker_id: int, config: FleetConfig, host: str, port: int,
 
     Drain ordering (the contract ``tests/test_fleet.py`` pins down):
 
-    1. every batcher stops admitting — new submits answer 503 — while
-       the HTTP socket stays open;
+    1. every endpoint that admits work (``/ground``, ``/extract``,
+       ``/solve``) stops admitting — new submits answer 503 — while the
+       HTTP socket stays open;
     2. queued and in-flight work runs to completion
        (``service.close``);
     3. the socket keeps answering (503s) for ``drain_grace`` seconds so

@@ -2,9 +2,9 @@
 
 One :class:`ThreadingHTTPServer` thread per connection parses JSON,
 delegates to ``service.dispatch`` and writes the (status, body) pair
-back.  Handler threads block on micro-batch futures, so the thread pool
-is where concurrent requests wait while the single batch worker drains
-the queue -- exactly the shape dynamic batching wants.
+back.  Most endpoints answer on the handler thread itself; ``/solve``
+handler threads block on the decode scheduler's futures, so the thread
+pool is where concurrent solves wait for a KV row.
 
 Every response -- status line, headers and body -- leaves in a single
 socket write on a ``TCP_NODELAY`` connection.  Writing the headers and
@@ -14,7 +14,7 @@ client ACKs the headers, and a keep-alive client delays that ACK by
 505) take the same single-write JSON path via :meth:`send_error`.
 
 The server owns graceful shutdown ordering: ``shutdown()`` first stops
-accepting connections, then drains every batcher queue
+accepting connections, then drains the ``/solve`` queue
 (``service.close()``), so in-flight requests complete instead of dying
 with the socket.
 """
@@ -313,7 +313,7 @@ class ServiceServer(ThreadingHTTPServer):
         super().server_bind()
 
     def shutdown(self) -> None:
-        """Stop the accept loop, then drain the micro-batch queues."""
+        """Stop the accept loop, then drain the ``/solve`` queue."""
         super().shutdown()
         self.service.close()
 

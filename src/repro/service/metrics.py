@@ -3,8 +3,8 @@
 A deliberately small registry: labelled monotonic counters,
 point-in-time gauges and cumulative histograms, enough for ``/metrics``
 to answer the questions an operator actually asks of this service
-(request rates per endpoint and status, micro-batch coalescing
-efficiency, request-latency percentiles) without pulling in a client
+(request rates per endpoint and status, ``/solve`` admission-wave
+width, request-latency percentiles) without pulling in a client
 library the container doesn't have.  ``docs/METRICS.md`` is the
 reference for every series the service exports; the CI docs check
 fails when an exported name is missing there.

@@ -1,9 +1,7 @@
 """Continuous batching for ``/solve``: iteration-level decode scheduling.
 
-The :class:`~repro.service.batcher.MicroBatcher` coalesces requests and
-then runs the whole batch to completion -- fine for ``/ground``-style
-backends where one batch call is one bounded pass, but wrong for decode:
-generation length varies per request, so one long generation holds every
+Running a batch of decodes to completion is wrong for generation:
+length varies per request, so one long generation holds every
 already-finished companion hostage, newly arrived requests wait for the
 entire previous batch, and KV rows freed by early EOS sit idle.
 
@@ -12,7 +10,7 @@ vLLM/Orca iteration-scheduling idea), riding the resumable
 :class:`~repro.llm.generation.DecodeSession` loop:
 
 - one worker thread owns the model (no locking anywhere near the
-  transformer, same single-writer discipline as the micro-batcher);
+  transformer: no other thread ever runs it);
 - each loop iteration first **admits** queued requests -- up to the
   ``max_inflight_rows`` budget -- by prefilling them into the live KV
   cache (rows freed by retirement are re-used immediately), then runs
@@ -31,14 +29,14 @@ vLLM/Orca iteration-scheduling idea), riding the resumable
   the rows still decoding;
 - the bounded admission queue gives **backpressure**: when both the
   in-flight budget and the queue are full, ``submit`` raises
-  :class:`~repro.service.batcher.BatcherSaturated` and the HTTP layer
-  answers 429 -- requests are refused, never hung.
+  :class:`BatcherSaturated` and the HTTP layer answers 429 -- requests
+  are refused, never hung.
 
 Requests that share a prompt are deduplicated in flight (one KV row,
 every waiter answered from it) and completions land in the same
 ``(cache_key, prompt)``-keyed completion memo the engine's
-:class:`~repro.engine.BatchRunner` uses, so template traffic keeps its
-memo hits whichever scheduler serves it.  Scheduling never changes
+:class:`~repro.engine.BatchRunner` uses, so offline evaluation and
+serving share memo hits.  Scheduling never changes
 semantics: per-request responses are byte-identical to solo decoding
 (greedy decoding is deterministic per row and the kernel paths compute
 rows independently of their batch companions -- asserted by the parity
@@ -57,13 +55,20 @@ from typing import Callable, Sequence
 from repro import faults
 from repro.llm.generation import DecodeSession, DecodeStats
 from repro.llm.interface import TransformerLM
-from repro.service.batcher import BatcherClosed, BatcherSaturated
 from repro.service.deadline import (
     ClientDisconnected,
     DeadlineExceeded,
     Ticket,
     current_deadline,
 )
+
+
+class BatcherSaturated(RuntimeError):
+    """A bounded request queue is full (HTTP layer answers 429)."""
+
+
+class BatcherClosed(RuntimeError):
+    """The service no longer accepts work (it is draining; HTTP 503)."""
 
 
 class _Flight:
@@ -91,10 +96,9 @@ class ContinuousBatcher:
     ``/solve`` handler passes :meth:`repro.service.solver.MWPSolver.
     finish`; by default the completion text itself is returned).
 
-    Submitted items follow the micro-batcher's future-based contract
-    (``submit`` -> :class:`~concurrent.futures.Future`, ``__call__``
-    blocks) so the serving app can swap schedulers; ``item[0]`` must be
-    the prompt string.
+    Submission is future-based (``submit`` ->
+    :class:`~concurrent.futures.Future`, ``__call__`` blocks);
+    ``item[0]`` must be the prompt string.
 
     ``admit_wave`` (default ``max_inflight_rows // 4``) and
     ``admit_delay_steps`` control prefill coalescing: while rows are
@@ -254,9 +258,9 @@ class ContinuousBatcher:
 
         New submissions fail with :class:`BatcherClosed` (503 at the
         HTTP layer) while queued and in-flight decodes keep stepping to
-        completion.  The fleet's SIGTERM path drains every batcher
-        before any worker exits; :meth:`close` then joins once the
-        rows retire.
+        completion.  The fleet's SIGTERM path drains admission before
+        any worker exits; :meth:`close` then joins once the rows
+        retire.
         """
         with self._wake:
             self._closed = True

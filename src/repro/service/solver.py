@@ -6,27 +6,22 @@ the problem itself: the shared :class:`~repro.quantity.QuantityGrounder`
 locates every numeric literal (and its unit, when one follows), the
 literals become equation slots ``N1..Nk`` in reading order, and the
 slotted prompt goes through the *same* tokenisation as training
-(:func:`repro.core.encoding.slotted_prompt`).  Decoding depends on the
-configured scheduler: the default continuous scheduler
-(:class:`~repro.service.scheduler.ContinuousBatcher`) prefills each
-prepared prompt into a live KV row and retires it the step it
-finishes, while ``--solve-scheduler batch`` rides the evaluation
-engine's :class:`~repro.engine.BatchRunner` run-to-completion
-(micro-batched requests share KV-cached prefill/step passes via
-``generate_batch``).  Both paths end in :meth:`MWPSolver.finish`: the
-predicted equation is executed with the repo's safe calculator over the
-extracted slot values, and repeat prompts hit the same completion memo.  The wrapped
-:class:`~repro.llm.TransformerLM`'s ``decode_observer`` feeds the
-service's ``solve_decode_*`` metrics.
+(:func:`repro.core.encoding.slotted_prompt`).  The continuous decode
+scheduler (:class:`~repro.service.scheduler.ContinuousBatcher`)
+prefills each prepared prompt into a live KV row and retires it the
+step it finishes; :meth:`MWPSolver.finish` then executes the predicted
+equation with the repo's safe calculator over the extracted slot
+values.  A result that is not a finite number answers ``None``, so
+every response body stays valid JSON.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro import faults
 from repro.core.encoding import equation_from_output, slotted_prompt
-from repro.engine.runner import BatchRunner
 from repro.llm.interface import TransformerLM
 from repro.mwp.equation import EquationError, evaluate_equation
 from repro.quantity.grounder import QuantityGrounder
@@ -72,24 +67,18 @@ def slot_text(text: str, quantities: list[ExtractedQuantity]) -> str:
 
 
 class MWPSolver:
-    """Ground + decode + calculate for a batch of problem texts."""
+    """Ground + decode + calculate for one problem text at a time."""
 
-    def __init__(
-        self,
-        grounder: QuantityGrounder,
-        lm: TransformerLM,
-        runner: BatchRunner,
-    ):
+    def __init__(self, grounder: QuantityGrounder, lm: TransformerLM):
         self.grounder = grounder
         self.lm = lm
-        self.runner = runner
 
     def prepare(self, text: str) -> tuple[str, tuple[ExtractedQuantity, ...]]:
         """The slotted prompt and the slot quantities for one text.
 
         Called in the submitting thread, *before* the request enters the
-        micro-batch queue: a problem with no extractable quantities
-        fails alone (422) instead of poisoning its batch companions.
+        scheduler queue: a problem with no extractable quantities fails
+        alone (422) without spending a queue slot.
         """
         quantities = tuple(self.grounder.extract(text))
         if not quantities:
@@ -106,11 +95,11 @@ class MWPSolver:
         """Turn one decoded completion into a :class:`SolveResult`.
 
         The deterministic tail of a solve -- equation extraction plus the
-        safe-calculator evaluation over the request's own slot values --
-        shared by both schedulers: ``solve_batch`` calls it per row after
-        the batched runner decode, and the continuous scheduler calls it
-        per retired KV row (two requests deduplicated onto one decode
-        still evaluate against their own quantities here).
+        safe-calculator evaluation over the request's own slot values.
+        The scheduler calls it per retired KV row (two requests
+        deduplicated onto one decode still evaluate against their own
+        quantities here).  An equation that fails to evaluate, or whose
+        value overflows to ``inf``/``nan``, answers ``None``.
         """
         # fault site: a resolver crash fails only this waiter (the
         # scheduler's per-request error isolation is exactly what the
@@ -124,25 +113,9 @@ class MWPSolver:
             )
         except EquationError:
             answer = None
+        if answer is not None and not math.isfinite(answer):
+            answer = None
         return SolveResult(
             equation=equation, answer=answer,
             quantities=quantities, prompt=prompt,
         )
-
-    def solve_batch(
-        self, prepared: list[tuple[str, tuple[ExtractedQuantity, ...]]]
-    ) -> list[SolveResult]:
-        """Solve prepared (prompt, quantities) pairs through one batched
-        runner call; the single batch-worker thread is the only place the
-        shared transformer runs, so no model locking is needed."""
-        outputs = self.runner.generate_all(
-            self.lm, [prompt for prompt, _ in prepared]
-        )
-        return [
-            self.finish(item, output)
-            for item, output in zip(prepared, outputs)
-        ]
-
-    def solve_texts(self, texts: list[str]) -> list[SolveResult]:
-        """Prepare + solve in one call (tests and offline callers)."""
-        return self.solve_batch([self.prepare(text) for text in texts])

@@ -1,12 +1,13 @@
 """Request-deadline tests: expiry at every queue position, shed rows.
 
 The contract under test (``repro.service.deadline`` plus the shedding
-hooks in both batchers, ``docs/RESILIENCE.md``): an expired request is
-failed with :class:`DeadlineExceeded` naming the *stage* that caught it
--- ``pre-queue`` at the dispatch edge, ``queued`` in a batcher queue,
+hooks in the ``/solve`` scheduler, ``docs/RESILIENCE.md``): an expired
+request is failed with :class:`DeadlineExceeded` naming the *stage*
+that caught it -- ``pre-queue`` at the dispatch edge, ``queued`` in the
+admission queue,
 ``admitted`` at the scheduler's admission boundary, ``decoding`` for a
 live KV row, ``waiting`` as the submitting thread's backstop -- and a
-shed request never occupies a batch slot or KV row afterwards.  Clients
+shed request never occupies a KV row afterwards.  Clients
 that hang up early get :class:`ClientDisconnected` (499) instead of a
 decode nobody reads.
 """
@@ -28,7 +29,6 @@ from repro.service import (
     Deadline,
     DeadlineExceeded,
     DimensionService,
-    MicroBatcher,
     ServiceConfig,
     Ticket,
 )
@@ -135,59 +135,38 @@ class TestDecodeSessionCancel:
         assert session.active
 
 
-# -- micro-batcher ------------------------------------------------------------
-
-
-class TestMicroBatcherShedding:
-    def test_expired_queued_request_sheds_without_a_batch_slot(self):
-        release = threading.Event()
-        seen: list[list] = []
-
-        def slow(items):
-            seen.append(list(items))
-            release.wait(5)
-            return items
-
-        batcher = MicroBatcher(slow, max_batch_size=1, max_latency=0.0)
-        try:
-            first = batcher.submit("a")  # occupies the single worker
-            assert wait_until(lambda: batcher.pending() == 0)
-            with use_deadline(Deadline(20.0)):
-                doomed = batcher.submit("b")
-            time.sleep(0.05)  # let the deadline lapse while queued
-            release.set()
-            with pytest.raises(DeadlineExceeded) as err:
-                doomed.result(timeout=5)
-            assert err.value.stage == "queued"
-            assert first.result(timeout=5) == "a"
-        finally:
-            release.set()
-            batcher.close()
-        # the expired item never reached the batch function
-        assert ["b"] not in seen
-
-    def test_call_waiting_backstop_bounds_the_blocking_wait(self):
-        release = threading.Event()
-
-        def stuck(items):
-            release.wait(5)
-            return items
-
-        batcher = MicroBatcher(stuck, max_batch_size=1, max_latency=0.0)
-        try:
-            with use_deadline(Deadline(50.0)):
-                with pytest.raises(DeadlineExceeded) as err:
-                    batcher("x")
-            assert err.value.stage == "waiting"
-        finally:
-            release.set()
-            batcher.close()
-
-
 # -- continuous scheduler -----------------------------------------------------
 
 
+class _StuckModel(_SlowModel):
+    """Decode steps block until ``release`` is set."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.release = threading.Event()
+
+    def infer_step(self, *args, **kwargs):
+        self.release.wait(5)
+        return self._model.infer_step(*args, **kwargs)
+
+
 class TestContinuousBatcherShedding:
+    def test_call_waiting_backstop_bounds_the_wait(self, toy_lm):
+        """The worker is stuck inside a decode step, so no shedding
+        stage runs; the caller's bounded wait still ends at the
+        deadline."""
+        stuck = _StuckModel(toy_lm.model)
+        lm = TransformerLM(stuck, toy_lm.tokenizer, max_new_tokens=10)
+        batcher = ContinuousBatcher(lm)
+        try:
+            with use_deadline(Deadline(50.0)):
+                with pytest.raises(DeadlineExceeded) as err:
+                    batcher((long_junk_prompt(toy_lm),))
+            assert err.value.stage == "waiting"
+        finally:
+            stuck.release.set()
+            batcher.close()
+
     def test_expired_in_queue_sheds_before_claiming_a_row(self, toy_lm):
         slow = TransformerLM(_SlowModel(toy_lm.model, delay=0.05),
                              toy_lm.tokenizer, max_new_tokens=10)

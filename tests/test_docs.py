@@ -1,8 +1,9 @@
 """Tier-1 wrapper around the docs consistency checker.
 
 Keeps ``docs/`` honest on every test run: no dead relative links or
-anchors in README/docs, and every exported ``/metrics`` series
-documented in ``docs/METRICS.md``. The same checker runs standalone in
+anchors in README/docs, every exported ``/metrics`` series documented
+in ``docs/METRICS.md``, and every flag in the ``docs/SERVING.md`` knob
+table accepted by the service CLI. The same checker runs standalone in
 the CI docs job (``python tools/check_docs.py``).
 """
 import pathlib
@@ -66,3 +67,32 @@ def test_described_and_documented_series_passes(tmp_path):
         'metrics.describe("ghost_total", "Ghosts seen.")\n'
         'metrics.inc("ghost_total", endpoint="/x")\n')
     assert check_docs.check_metrics(root) == []
+
+
+def _knobs_fixture(tmp_path, *flags: str) -> pathlib.Path:
+    """A tree whose SERVING.md knob table names ``flags`` and whose CLI
+    registers only ``--queue-size``."""
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    rows = "".join(f"| `{flag}` | 1 | x | y |\n" for flag in flags)
+    (docs / "SERVING.md").write_text(
+        "# Serving\n\n## Tuning knobs\n\n"
+        "| Knob | Default | Applies to | Effect |\n"
+        "| --- | --- | --- | --- |\n" + rows
+        + "\n## Later\n\n`--not-a-knob` outside the table is ignored.\n",
+        encoding="utf-8")
+    cli = tmp_path / "src" / "repro" / "service" / "__main__.py"
+    cli.parent.mkdir(parents=True)
+    cli.write_text(
+        "def build_parser():\n"
+        "    parser.add_argument('--queue-size', type=int)\n",
+        encoding="utf-8")
+    return tmp_path
+
+
+def test_knob_table_naming_an_unknown_flag_fails(tmp_path):
+    root = _knobs_fixture(tmp_path, "--queue-size", "--batch-size")
+    problems = check_docs.check_knobs(root)
+    # the known flag and the flag outside the table raise nothing
+    assert len(problems) == 1
+    assert "`--batch-size`" in problems[0]

@@ -421,17 +421,6 @@ class TestScheduler:
         assert streamed == list(PARITY_SET)
         assert [r.name for r in records] == list(PARITY_SET)
 
-    def test_legacy_experiments_dict_registration_still_works(
-        self, monkeypatch
-    ):
-        # Pre-registry extension point: mutating runner.EXPERIMENTS.
-        import repro.experiments.runner as runner_module
-        monkeypatch.setitem(
-            runner_module.EXPERIMENTS, "mytable", "repro.experiments.table3"
-        )
-        result = runner_module.run_experiment("mytable")
-        assert result.experiment_id == "Table III"
-
     def test_concurrent_get_context_hits_do_not_block_on_cold_train(
         self, micro, monkeypatch
     ):

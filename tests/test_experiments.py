@@ -4,7 +4,8 @@ import pytest
 
 from repro.experiments import fig3, fig4, table3, table4, table6
 from repro.experiments.reporting import ExperimentResult, format_table
-from repro.experiments.runner import EXPERIMENTS, LIGHT, run_experiment
+from repro.experiments.runner import LIGHT, run_experiment
+from repro.experiments.spec import SPECS
 
 
 class TestReporting:
@@ -52,11 +53,11 @@ class TestLightExperiments:
             assert row[1] == 100  # quick mode problem count
 
     def test_runner_registry_covers_all_paper_artifacts(self):
-        assert set(EXPERIMENTS) == {
+        assert set(SPECS) == {
             "table3", "table4", "fig3", "fig4", "table6",
             "table7", "table8", "table9", "fig6", "fig7",
         }
-        assert set(LIGHT) <= set(EXPERIMENTS)
+        assert set(LIGHT) <= set(SPECS)
 
     def test_runner_dispatch(self):
         result = run_experiment("table3")

@@ -1,6 +1,6 @@
 """Tests for the pre-fork worker fleet (repro.service.fleet).
 
-The in-process units cover the drain hooks and the registry
+The in-process units cover the service drain hook and the registry
 dump/absorb merge; everything else runs against a real supervisor
 subprocess over real sockets -- fork safety, SO_REUSEPORT and fd-pass
 load spreading, cross-worker /metrics aggregation, crash respawns, and
@@ -28,10 +28,8 @@ import pytest
 import repro.experiments.artifacts as artifacts_module
 import repro.experiments.context as context_module
 from repro.service import (
-    BatcherClosed,
     DimensionService,
     FleetConfig,
-    MicroBatcher,
     MetricsRegistry,
     ServiceConfig,
 )
@@ -44,32 +42,15 @@ SRC_DIR = REPO_ROOT / "src"
 # -- in-process units --------------------------------------------------------
 
 
-def test_micro_batcher_drain_rejects_new_but_finishes_queued():
-    started = []
-
-    def slow_double(items):
-        started.append(len(items))
-        time.sleep(0.05)
-        return [item * 2 for item in items]
-
-    batcher = MicroBatcher(slow_double, max_batch_size=4, max_latency=0.01)
-    futures = [batcher.submit(i) for i in range(3)]
-    batcher.drain()
-    with pytest.raises(BatcherClosed):
-        batcher.submit(99)
-    # drain() must not abandon what was already queued
-    assert [future.result(timeout=5) for future in futures] == [0, 2, 4]
-    batcher.close()
-
-
 def test_service_begin_drain_maps_to_503():
     service = DimensionService(ServiceConfig(profile="off"))
     status, _ = service.dispatch("/ground", {"text": "3 km in 2 h"})
     assert status == 200
     service.begin_drain()
-    status, body = service.dispatch("/ground", {"text": "3 km in 2 h"})
-    assert status == 503
-    assert "closed" in body["error"]
+    for endpoint in ("/ground", "/extract"):
+        status, body = service.dispatch(endpoint, {"text": "3 km in 2 h"})
+        assert status == 503
+        assert "closed" in body["error"]
     # non-batched endpoints keep answering during the drain window
     status, _ = service.dispatch("/healthz", None)
     assert status == 200
@@ -232,11 +213,11 @@ def test_fleet_serves_and_aggregates_metrics_across_workers():
         assert _metric_value(text, "requests_total", endpoint="/ground",
                              status="200", worker_id="fleet") == 24
         # ... and both workers' own series are present in the one scrape
-        # (queue_depth is sampled by every worker when its state is
+        # (traces_buffered is sampled by every worker when its state is
         # pulled, so it exists even for a worker the kernel sent little
         # traffic to)
         for worker_id in ("0", "1"):
-            assert _metric_value(text, "queue_depth", endpoint="ground",
+            assert _metric_value(text, "traces_buffered",
                                  worker_id=worker_id) is not None
         per_worker = sum(
             _metric_value(text, "requests_total", endpoint="/ground",

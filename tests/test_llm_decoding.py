@@ -266,8 +266,8 @@ class TestDecodeStats:
         assert stats.prefill_seconds > 0.0
 
     def test_full_forward_path_records_stats_too(self):
-        """use_kv_cache=False must not silently zero the observer's
-        counters (the service's /metrics would flatline)."""
+        """use_kv_cache=False must not silently zero the decode
+        counters."""
         model = random_model()
         prompts = ragged_prompts(model, 3, seed=8, longest=10)
         stats = DecodeStats()
@@ -278,14 +278,3 @@ class TestDecodeStats:
         assert stats.steps == 8             # one full forward per round
         assert stats.tokens == sum(len(ids) for ids in generated) == 24
         assert stats.step_seconds > 0.0
-
-    def test_observer_fires_per_call(self):
-        model = random_model()
-        tok = Tokenizer().fit(["a b c d e f g h"])
-        seen: list[DecodeStats] = []
-        lm = TransformerLM(model, tok, max_new_tokens=4,
-                           decode_observer=seen.append)
-        lm.generate("a b c")
-        lm.generate_batch(["a b", "c d e"])
-        assert len(seen) == 2
-        assert seen[0].prompts == 1 and seen[1].prompts == 2

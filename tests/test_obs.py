@@ -461,8 +461,8 @@ class TestHTTPTracing:
         assert trace["status"] == 200
         assert trace["worker_id"] == 0
         spans = {span["name"]: span for span in trace["spans"]}
-        # micro-batched endpoint lifecycle, in order and non-overlapping
-        order = ["parse", "queue", "execute", "write"]
+        # inline endpoint lifecycle, in order and non-overlapping
+        order = ["parse", "execute", "write"]
         assert [s["name"] for s in trace["spans"]] == order
         previous_end = 0.0
         for name in order:
@@ -470,8 +470,6 @@ class TestHTTPTracing:
             assert span["start_ms"] >= previous_end - 0.005
             previous_end = span["start_ms"] + span["duration_ms"]
         assert previous_end <= trace["duration_ms"] + 0.005
-        assert spans["queue"]["attrs"]["batch_size"] >= 1
-        assert spans["execute"]["attrs"]["batch_size"] >= 1
 
     def test_force_via_query_parameter(self, quiet_traced_server):
         service, base = quiet_traced_server
@@ -550,7 +548,7 @@ class TestHTTPTracing:
         assert len(slow) == 1
         assert slow[0]["endpoint"] == "/ground"
         assert slow[0]["duration_ms"] > 0
-        assert "queue" in slow[0]["stages"]
+        assert "execute" in slow[0]["stages"]
         assert service.metrics.value(
             "slow_traces_total", endpoint="/ground") >= 1
 
@@ -563,7 +561,7 @@ class TestHTTPTracing:
             is not None)
         metrics = service.metrics
         assert metrics.value("traces_sampled_total", endpoint="/ground") >= 1
-        for stage in ("parse", "queue", "execute", "write"):
+        for stage in ("parse", "execute", "write"):
             assert metrics.value("trace_stage_samples_total",
                                  endpoint="/ground", stage=stage) >= 1
             assert metrics.value("trace_stage_seconds_total",
@@ -602,7 +600,7 @@ def test_fleet_debug_traces_merges_every_worker_buffer():
         for trace_id in trace_ids:
             trace = merged[trace_id]
             assert trace["worker_id"] in (0, 1)
-            assert {"parse", "queue", "execute", "write"} \
+            assert {"parse", "execute", "write"} \
                 <= {span["name"] for span in trace["spans"]}
 
         # by-id lookup crosses worker buffers too: whichever worker

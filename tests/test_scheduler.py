@@ -11,8 +11,8 @@ The invariants under test, from ``repro.service.scheduler`` /
   retire the step they finish;
 - exhausting the in-flight budget *and* the admission queue returns
   ``BatcherSaturated`` (HTTP 429), not a hang;
-- dedupe, memo, close-drain and error fan-out behave like the
-  micro-batcher's contract.
+- dedupe, memo, drain/close and error fan-out keep the future-based
+  contract: queued work completes, new work is refused.
 """
 
 import time
@@ -26,8 +26,11 @@ from repro.llm.generation import (
     greedy_decode,
     greedy_decode_batch,
 )
-from repro.service.batcher import BatcherClosed, BatcherSaturated
-from repro.service.scheduler import ContinuousBatcher
+from repro.service.scheduler import (
+    BatcherClosed,
+    BatcherSaturated,
+    ContinuousBatcher,
+)
 from test_llm_decoding import (  # noqa: F401 -- shared model fixtures
     ragged_prompts,
     random_model,
@@ -259,3 +262,15 @@ class TestContinuousBatcher:
         assert future.result(timeout=1) == "grey"
         with pytest.raises(BatcherClosed):
             batcher.submit(("say red",))
+
+    def test_drain_rejects_new_but_finishes_queued(self, toy_lm):
+        batcher = ContinuousBatcher(toy_lm, max_inflight_rows=1)
+        prompts = ["say red", "say blue", "say gold"]
+        futures = [batcher.submit((prompt,)) for prompt in prompts]
+        batcher.drain()
+        with pytest.raises(BatcherClosed):
+            batcher.submit(("say grey",))
+        # drain() must not abandon what was already queued
+        assert [future.result(timeout=30) for future in futures] \
+            == ["red", "blue", "gold"]
+        batcher.close()

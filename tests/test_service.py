@@ -1,9 +1,9 @@
 """Tests for the online serving layer (repro.service).
 
-Covers the dynamic micro-batcher's policy corners (parity, latency
-flush, backpressure, graceful drain), every endpoint end-to-end over a
-real HTTP socket, thread-safety of the shared caches the service leans
-on, and the trained-context warm boot from the artifact store.
+Covers every endpoint end-to-end over a real HTTP socket (including
+the inline ``/ground`` admission bound), thread-safety of the shared
+caches the service leans on, and the trained-context warm boot from
+the artifact store.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ from repro.experiments.context import MICRO
 from repro.obs import FORCE_HEADER, TRACE_HEADER, mint_trace_id
 from repro.quantity.grounder import grounder_for
 from repro.service import (
-    BatcherClosed,
-    BatcherSaturated,
     DimensionService,
     MetricsRegistry,
-    MicroBatcher,
     ServiceConfig,
     build_server,
 )
 from repro.service.http import ServiceRequestHandler
+from repro.service.solver import MWPSolver
 from repro.units import default_kb
 
 
@@ -101,133 +99,6 @@ def kb_service():
     yield service, client
     server.shutdown()
     server.server_close()
-
-
-# -- the micro-batcher --------------------------------------------------------
-
-
-class TestMicroBatcher:
-    def test_results_match_inputs_in_order(self):
-        batcher = MicroBatcher(lambda items: [i * 2 for i in items],
-                               max_batch_size=4, max_latency=0.005)
-        try:
-            futures = [batcher.submit(i) for i in range(20)]
-            assert [f.result(timeout=5) for f in futures] \
-                == [i * 2 for i in range(20)]
-        finally:
-            batcher.close()
-
-    def test_batch_and_sequential_handling_are_identical(self):
-        inputs = list(range(50))
-        outcomes = {}
-        for size in (1, 16):
-            batcher = MicroBatcher(lambda items: [i * i for i in items],
-                                   max_batch_size=size, max_latency=0.002)
-            try:
-                futures = [batcher.submit(i) for i in inputs]
-                outcomes[size] = [f.result(timeout=5) for f in futures]
-            finally:
-                batcher.close()
-        assert outcomes[1] == outcomes[16]
-
-    def test_single_request_flushes_at_max_latency(self):
-        batcher = MicroBatcher(lambda items: items,
-                               max_batch_size=64, max_latency=0.02)
-        try:
-            started = time.perf_counter()
-            assert batcher.submit("x").result(timeout=5) == "x"
-            elapsed = time.perf_counter() - started
-            # One lone request must not wait for a full batch; it is
-            # released by the latency clock (+ generous scheduling slack).
-            assert elapsed < 1.0
-        finally:
-            batcher.close()
-
-    def test_requests_coalesce_while_worker_is_busy(self):
-        release = threading.Event()
-        sizes = []
-
-        def record(items):
-            sizes.append(len(items))
-            release.wait(timeout=10)
-            return items
-
-        batcher = MicroBatcher(record, max_batch_size=32, max_latency=0.001)
-        try:
-            first = batcher.submit(0)
-            while not sizes:  # worker holds batch #1
-                time.sleep(0.001)
-            later = [batcher.submit(i) for i in range(1, 9)]
-            release.set()
-            assert first.result(timeout=5) == 0
-            assert [f.result(timeout=5) for f in later] == list(range(1, 9))
-            # everything queued while the worker was busy became one batch
-            assert sizes == [1, 8]
-        finally:
-            batcher.close()
-
-    def test_full_queue_raises_saturated(self):
-        release = threading.Event()
-        batcher = MicroBatcher(
-            lambda items: (release.wait(timeout=10), items)[1],
-            max_batch_size=1, max_latency=0.0, max_queue=2,
-        )
-        try:
-            first = batcher.submit("busy")  # worker picks this up
-            while batcher.pending():
-                time.sleep(0.001)
-            queued = [batcher.submit(i) for i in range(2)]  # fills queue
-            with pytest.raises(BatcherSaturated):
-                batcher.submit("overflow")
-            release.set()
-            first.result(timeout=5)
-            for future in queued:
-                future.result(timeout=5)
-        finally:
-            batcher.close()
-
-    def test_close_drains_queued_requests(self):
-        slow = threading.Event()
-
-        def fn(items):
-            slow.wait(timeout=10)
-            return [i + 100 for i in items]
-
-        batcher = MicroBatcher(fn, max_batch_size=2, max_latency=0.0)
-        futures = [batcher.submit(i) for i in range(7)]
-        closer = threading.Thread(target=batcher.close)
-        closer.start()
-        slow.set()
-        closer.join(timeout=10)
-        assert not closer.is_alive()
-        # graceful shutdown: everything already queued still completed
-        assert [f.result(timeout=1) for f in futures] \
-            == [i + 100 for i in range(7)]
-        with pytest.raises(BatcherClosed):
-            batcher.submit("late")
-
-    def test_batch_error_fans_out_and_worker_survives(self):
-        def fn(items):
-            if "bad" in items:
-                raise ValueError("poisoned batch")
-            return items
-
-        batcher = MicroBatcher(fn, max_batch_size=1, max_latency=0.0)
-        try:
-            with pytest.raises(ValueError, match="poisoned"):
-                batcher.submit("bad").result(timeout=5)
-            assert batcher.submit("good").result(timeout=5) == "good"
-        finally:
-            batcher.close()
-
-    def test_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda items: [], max_batch_size=1,
-                               max_latency=0.0)
-        try:
-            with pytest.raises(RuntimeError, match="0 results"):
-                batcher.submit("x").result(timeout=5)
-        finally:
-            batcher.close()
 
 
 # -- KB-backed endpoints over HTTP -------------------------------------------
@@ -426,15 +297,14 @@ class TestEndpoints:
             conn.close()
 
     def test_backend_error_is_a_500_and_counted(self, monkeypatch):
-        """Batch-fn exceptions fan out through futures; dispatch must
-        turn them into a 500 body and still count the request."""
+        """A grounder exception must become a 500 body, and the request
+        must still be counted."""
         service = DimensionService(ServiceConfig(port=0))
         try:
-            # patch the batcher's fn (the grounder instance is shared
-            # process-wide; its bound method was captured at wiring)
+            # the grounder instance is shared process-wide; monkeypatch
+            # restores its method after the test
             monkeypatch.setattr(
-                service._ground_batcher, "fn",
-                lambda texts: 1 / 0,
+                service.grounder, "ground_batch", lambda texts: 1 / 0,
             )
             status, body = service.dispatch("/ground", {"text": "1 km"})
             assert status == 500
@@ -458,9 +328,6 @@ class TestEndpoints:
             "requests_total", endpoint="/ground", status="200"
         )
         assert after == before + 1
-        assert service.metrics.value(
-            "batches_total", endpoint="ground"
-        ) >= 1
 
     def test_label_values_are_escaped_in_exposition(self):
         """Backslash, quote and newline in label values must render as
@@ -485,41 +352,60 @@ class TestEndpoints:
         # round-trip sanity: the escaped line is still one line
         assert all("\n" not in line for line in rendered.splitlines())
 
-    def test_concurrent_load_is_coalesced_and_identical(self):
-        """Same traffic, batch=1 vs batch=32: byte-identical bodies."""
+    def test_concurrent_ground_is_identical_to_sequential(self, kb_service):
+        """12 concurrent /ground requests: bodies byte-identical to a
+        sequential pass over the same texts."""
+        _, client = kb_service
         texts = [
             f"货车以{9 + i}.5m/s的速度行驶了{i} h，油箱剩{i * 3}升"
             for i in range(24)
         ]
 
-        def collect(size):
-            service = DimensionService(ServiceConfig(
-                port=0, max_batch_size=size, max_latency=0.005,
-            ))
-            server, client = serve(service)
-            try:
-                with ThreadPoolExecutor(max_workers=12) as pool:
-                    bodies = list(pool.map(
-                        lambda t: client.request("/ground", {"text": t}),
-                        texts,
-                    ))
-                return service, bodies
-            finally:
-                server.shutdown()
-                server.server_close()
+        def raw_ground(text: str) -> bytes:
+            req = urllib.request.Request(
+                client.base + "/ground",
+                data=json.dumps({"text": text}).encode("utf-8"),
+            )
+            with urllib.request.urlopen(req, timeout=30) as response:
+                assert response.status == 200
+                return response.read()
 
-        _, sequential = collect(1)
-        batched_service, batched = collect(32)
-        assert batched == sequential
-        batches = batched_service.metrics.value(
-            "batches_total", endpoint="ground"
-        )
-        served = batched_service.metrics.value(
-            "batched_requests_total", endpoint="ground"
-        )
-        assert served == len(texts)
-        # the whole point: fewer batch calls than requests
-        assert batches < len(texts)
+        sequential = [raw_ground(text) for text in texts]
+        with ThreadPoolExecutor(max_workers=12) as pool:
+            concurrent = list(pool.map(raw_ground, texts))
+        assert concurrent == sequential
+
+    def test_ground_beyond_max_queue_is_429(self, monkeypatch):
+        """With one slot, a /ground or /extract arriving while another
+        runs inside the grounder is refused, not queued."""
+        service = DimensionService(ServiceConfig(port=0, max_queue=1))
+        entered, release = threading.Event(), threading.Event()
+        original = service.grounder.ground_batch
+
+        def blocking_ground_batch(texts):
+            entered.set()
+            release.wait(timeout=10)
+            return original(texts)
+
+        monkeypatch.setattr(service.grounder, "ground_batch",
+                            blocking_ground_batch)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                first = pool.submit(service.dispatch, "/ground",
+                                    {"text": "3 km"})
+                assert entered.wait(timeout=10)
+                status, body = service.dispatch("/ground", {"text": "1 km"})
+                assert status == 429
+                assert "full" in body["error"]
+                assert service.dispatch(
+                    "/extract", {"text": "1 km"})[0] == 429
+                release.set()
+                assert first.result(timeout=10)[0] == 200
+            # the slot is free again once the first request returns
+            assert service.dispatch("/extract", {"text": "1 km"})[0] == 200
+        finally:
+            release.set()
+            service.close()
 
 
 # -- transport: one write per response ---------------------------------------
@@ -757,6 +643,19 @@ def micro_store(tmp_path_factory):
     context_module._CACHE.update(original_cache)
 
 
+class TestSolveFinish:
+    @pytest.mark.parametrize("output", ["N1*N1*N1*N1",
+                                        "N1*N1*N1*N1-N1*N1*N1*N1"])
+    def test_non_finite_answer_is_none_and_the_body_is_json(self, output):
+        """1e100 ** 4 overflows to inf and inf - inf is nan: neither may
+        reach the wire, where json.dumps would write Infinity/NaN."""
+        solver = MWPSolver(grounder_for(default_kb()), lm=None)
+        prepared = solver.prepare("仓库有 1e100 箱货，运走了 1 箱，还剩几箱？")
+        result = solver.finish(prepared, output)
+        assert result.answer is None
+        json.dumps(result.to_wire(), allow_nan=False)
+
+
 class TestSolveServing:
     @pytest.fixture(scope="class")
     def solve_service(self, micro_store):
@@ -800,9 +699,11 @@ class TestSolveServing:
             f"书架上有 {i} 本书，拿走了 {i // 2} 本，还剩几本？"
             for i in range(2, 14)
         ]
+        solver = service.solver
         expected = [
-            result.to_wire()
-            for result in service.solver.solve_texts(texts)
+            solver.finish(prepared, solver.lm.generate(prepared[0]))
+            .to_wire()
+            for prepared in map(solver.prepare, texts)
         ]
         with ThreadPoolExecutor(max_workers=8) as pool:
             responses = list(pool.map(
@@ -892,7 +793,6 @@ class TestSolveServing:
         service, client = solve_service
         status, health = client.request("/healthz")
         assert status == 200
-        assert health["batching"]["solve_scheduler"] == "continuous"
         assert health["batching"]["max_inflight_rows"] == 32
         client.request(
             "/solve", {"text": "篮子里有 4 个橙子，又放入 6 个，共几个？"}
@@ -910,29 +810,6 @@ class TestSolveServing:
         assert hist is not None
         assert hist["count"] >= 1
         assert hist["buckets"][-1] <= hist["count"]
-
-    def test_batch_scheduler_serves_identical_answers(self, solve_service,
-                                                      micro_store):
-        """--solve-scheduler batch keeps the run-to-completion path and
-        its responses are byte-identical to the continuous default."""
-        service, client = solve_service
-        texts = [
-            f"停车场有 {i} 辆车，开走了 {max(i - 3, 1)} 辆，还剩几辆？"
-            for i in range(4, 10)
-        ]
-        continuous = [
-            client.request("/solve", {"text": t})[1] for t in texts
-        ]
-        batch = DimensionService(ServiceConfig(
-            port=0, profile="micro", seed=11,
-            artifact_dir=str(micro_store), solve_scheduler="batch",
-        ))
-        try:
-            assert isinstance(batch._solve_batcher, MicroBatcher)
-            got = [batch.dispatch("/solve", {"text": t})[1] for t in texts]
-        finally:
-            batch.close()
-        assert json.loads(json.dumps(got)) == continuous
 
     def test_second_boot_is_warm_without_retraining(self, solve_service,
                                                     micro_store):

@@ -1,6 +1,6 @@
 """Documentation consistency checks, run by CI and tier-1.
 
-Two independent checks over ``README.md`` and ``docs/*.md``:
+Three independent checks over ``README.md`` and ``docs/*.md``:
 
 1. **Links** — every relative markdown link must resolve to an existing
    file, and every ``#fragment`` (on a relative link or a bare
@@ -14,6 +14,11 @@ Two independent checks over ``README.md`` and ``docs/*.md``:
    sites come from :mod:`repro.analysis.metrics_ast` — the same
    visitor the ``metric-discipline`` lint rule uses, so the docs check
    and the linter can never disagree about what the code emits.
+3. **CLI knobs** — every ``--flag`` in the "Tuning knobs" table of
+   ``docs/SERVING.md`` must be an option that
+   ``repro.service.__main__.build_parser()`` registers, read from its
+   ``add_argument`` calls in the source (so a deleted flag cannot
+   linger in the runbook).
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 
@@ -37,11 +42,15 @@ METRIC_SOURCES = (
     "src/repro/service/fleet.py",
 )
 METRICS_DOC = "docs/METRICS.md"
+SERVING_DOC = "docs/SERVING.md"
+CLI_SOURCE = "src/repro/service/__main__.py"
+KNOB_HEADING = "Tuning knobs"
 
 _FENCE = re.compile(r"^(```|~~~)")
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:")  # http:, https:, mailto:, ...
+_FLAG = re.compile(r"`(--[a-z0-9][a-z0-9-]*)")
 
 #: The shared visitor, relative to this script's own repo (not --root:
 #: the extraction logic belongs to the checker, the tree under test
@@ -174,11 +183,62 @@ def check_metrics(root: pathlib.Path) -> list[str]:
     return problems
 
 
+def cli_options(root: pathlib.Path) -> set[str]:
+    """``--`` option strings ``build_parser()`` passes to
+    ``add_argument`` (parsed, not imported: this script stays
+    stdlib-only)."""
+    path = root / CLI_SOURCE
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    options: set[str] = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name == "build_parser"):
+            continue
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "add_argument"):
+                options.update(
+                    arg.value for arg in call.args
+                    if isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)
+                    and arg.value.startswith("--"))
+    return options
+
+
+def check_knobs(root: pathlib.Path) -> list[str]:
+    doc = root / SERVING_DOC
+    if not doc.is_file():
+        return []
+    if not (root / CLI_SOURCE).is_file():
+        return [f"{CLI_SOURCE}: missing (the knob table names its flags)"]
+    known = cli_options(root)
+    problems = []
+    in_table = found = False
+    for lineno, line in enumerate(
+            _strip_fences(doc.read_text(encoding="utf-8")), start=1):
+        heading = _HEADING.match(line)
+        if heading:
+            in_table = heading.group(2).strip() == KNOB_HEADING
+            found = found or in_table
+            continue
+        if not (in_table and line.lstrip().startswith("|")):
+            continue
+        for flag in _FLAG.findall(line):
+            if flag not in known:
+                problems.append(
+                    f"{SERVING_DOC}:{lineno}: knob `{flag}` is not an "
+                    f"option of build_parser() in {CLI_SOURCE}")
+    if not found:
+        problems.append(f"{SERVING_DOC}: no '{KNOB_HEADING}' section")
+    return problems
+
+
 def run(root: pathlib.Path) -> list[str]:
     docs = sorted(p for pattern in DOC_GLOBS for p in root.glob(pattern))
     if not docs:
         return [f"no documents matched {DOC_GLOBS} under {root}"]
-    return check_links(root, docs) + check_metrics(root)
+    return check_links(root, docs) + check_metrics(root) + check_knobs(root)
 
 
 def main(argv: list[str] | None = None) -> int:
